@@ -32,7 +32,7 @@ import pytest
 
 from repro.pipeline import ArtifactStore
 from repro.analysis.experiments import ExperimentConfig, ExperimentRunner
-from repro.analysis.profiler import PROFILER
+from repro.pipeline.profiler import PROFILER
 from repro.cachesim import DEFAULT_HIERARCHY, fast_available
 from repro.framework import fasttrace
 from repro.graph import fastgraph

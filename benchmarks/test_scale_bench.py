@@ -1,22 +1,13 @@
-"""Paper-scale benchmarks — emit ``BENCH_scale.json``.
+"""Paper-scale benchmark — emits ``BENCH_scale.json``.
 
-Two measurements back the scaling claims of the threaded-kernel /
-fused-streaming work:
-
-* **threaded_kernels** — the pthread-chunked trace-build and simulate
-  kernels vs their serial siblings on large single-machine workloads.
-  The >=4x acceptance gate applies only on machines with >= 8 cores
-  (the kernels are memory-bandwidth-bound; below that the gate would
-  measure the CI shard, not the code) — elsewhere the numbers are
-  recorded ungated.  Bit-identity is asserted inside the timers either
-  way, on every machine.
-* **fused_scale_smoke** — a 1M-vertex PageRank super-step taken through
-  the fused streaming trace→simulate path and through the materialized
-  two-stage path, each in its own subprocess (``ru_maxrss`` is a
-  process-lifetime high-water mark, so per-path peaks need separate
-  processes).  Asserts the two paths produce identical cache counters
-  and that the fused path's trace-phase RSS growth stays under
-  ``RSS_TARGET_FRACTION`` of the materialized path's.
+**fused_scale_smoke** backs the scaling claim of the fused-streaming
+work: a 1M-vertex PageRank super-step taken through the fused streaming
+trace→simulate path and through the materialized two-stage path, each
+in its own subprocess (``ru_maxrss`` is a process-lifetime high-water
+mark, so per-path peaks need separate processes).  Asserts the two paths
+produce identical cache counters and that the fused path's trace-phase
+RSS growth stays under ``RSS_TARGET_FRACTION`` of the materialized
+path's.
 """
 
 from __future__ import annotations
@@ -30,21 +21,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.cachesim import DEFAULT_HIERARCHY, fast_available
+from repro.cachesim import fast_available
 from repro.framework import fasttrace
-from repro.tools.simbench_tool import (
-    make_microbench_trace,
-    time_engines,
-    time_trace_build,
-)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCH_PATH = REPO_ROOT / "BENCH_scale.json"
-
-#: Acceptance: threaded kernels over their serial siblings, gated on
-#: machines with at least this many cores.
-THREAD_TARGET_SPEEDUP = 4.0
-THREAD_GATE_CORES = 8
 
 #: Acceptance: fused trace-phase RSS growth vs materialized.
 RSS_TARGET_FRACTION = 0.25
@@ -74,51 +55,6 @@ def _store_bench(section: str, payload: dict) -> None:
         "fast_available": fast_available(),
     }
     BENCH_PATH.write_text(json.dumps(bench, indent=2, sort_keys=True) + "\n")
-
-
-@needs_kernels
-def test_threaded_kernel_speedup():
-    threads = os.cpu_count() or 1
-    gated = threads >= THREAD_GATE_CORES
-
-    build = time_trace_build(1 << 21, seed=0, kind="shuffled",
-                             repeats=3, threads=max(threads, 2))
-    # The scaled hierarchy has 256 L1 sets, so the per-partition replay
-    # is not capped below the worker count (the tiny default hierarchy
-    # folds everything into 4 partitions).
-    sim = time_engines(
-        make_microbench_trace(1_000_000, seed=0),
-        DEFAULT_HIERARCHY.scaled(64),
-        ["fast", "fast-threaded"],
-        repeats=3,
-        threads=max(threads, 2),
-    )
-    payload = {
-        "cpu_count": threads,
-        "gated": gated,
-        "target_speedup": THREAD_TARGET_SPEEDUP,
-        "trace_build": build,
-        "simulate": sim,
-    }
-    _store_bench("threaded_kernels", payload)
-    build_speedup = build.get("speedup_threaded_over_fast", 0.0)
-    sim_speedup = sim.get("speedup_threaded_over_fast", 0.0)
-    print(
-        f"\nthreaded kernels ({threads} cores): trace build "
-        f"{build_speedup:.2f}x, simulate {sim_speedup:.2f}x over serial"
-    )
-    if not gated:
-        pytest.skip(
-            f"{threads} cores < {THREAD_GATE_CORES}: speedups recorded, gate skipped"
-        )
-    assert build_speedup >= THREAD_TARGET_SPEEDUP, (
-        f"threaded trace build only {build_speedup:.2f}x over serial "
-        f"(target {THREAD_TARGET_SPEEDUP}x on {threads} cores)"
-    )
-    assert sim_speedup >= THREAD_TARGET_SPEEDUP, (
-        f"threaded simulate only {sim_speedup:.2f}x over serial "
-        f"(target {THREAD_TARGET_SPEEDUP}x on {threads} cores)"
-    )
 
 
 #: Child program: one path (fused | materialized) of the smoke cell in a

@@ -204,7 +204,6 @@ class GraphApp:
         plan: TracePlan,
         chunk_edges: int | None = None,
         engine: str | None = None,
-        threads: int | None = None,
     ) -> AppTrace:
         """Streaming variant of :meth:`trace` for the fused pipeline stage.
 
@@ -216,9 +215,7 @@ class GraphApp:
         from repro.apps import streaming
 
         kwargs = {} if chunk_edges is None else {"chunk_edges": chunk_edges}
-        return streaming.streaming_trace(
-            self, graph, plan, engine=engine, threads=threads, **kwargs
-        )
+        return streaming.streaming_trace(self, graph, plan, engine=engine, **kwargs)
 
     # -- internals ---------------------------------------------------------
     def _gather(self, graph: Graph, active: np.ndarray | None, direction: str):

@@ -191,7 +191,7 @@ class _StreamPlan:
         emit[jidx[~has_prev]] = True
         return emit
 
-    def batch_trace(self, q0: int, q1: int, engine=None, threads=None):
+    def batch_trace(self, q0: int, q1: int, engine=None):
         """Build the sub-trace of quantum slices ``[q0, q1)``."""
         builder = TraceBuilder()
         parts_k = []
@@ -243,7 +243,7 @@ class _StreamPlan:
             write=self.pull,
             core=self.cores_v[osel],
         )
-        return builder.build(engine=engine, threads=threads)
+        return builder.build(engine=engine)
 
 
 def streaming_trace(
@@ -252,15 +252,14 @@ def streaming_trace(
     plan,
     chunk_edges: int = DEFAULT_CHUNK_EDGES,
     engine: str | None = None,
-    threads: int | None = None,
 ) -> AppTrace:
     """Streaming equivalent of :meth:`GraphApp.trace`.
 
     Returns an :class:`AppTrace` whose ``trace`` is a
     :class:`StreamingTrace`: consuming its chunks yields the exact run
     sequence of the monolithic build while holding only ``chunk_edges``
-    worth of trace in memory at a time.  ``engine``/``threads`` select
-    the per-batch merge kernel, same contract as ``TraceBuilder.build``.
+    worth of trace in memory at a time.  ``engine`` selects the
+    per-batch merge kernel, same contract as ``TraceBuilder.build``.
     """
     if chunk_edges <= 0:
         raise ValueError("chunk_edges must be positive")
@@ -271,9 +270,7 @@ def streaming_trace(
 
     def chunk_factory():
         for q0 in range(0, sp.num_quanta, quanta_per_batch):
-            yield sp.batch_trace(
-                q0, min(q0 + quanta_per_batch, sp.num_quanta), engine, threads
-            )
+            yield sp.batch_trace(q0, min(q0 + quanta_per_batch, sp.num_quanta), engine)
 
     active_count = graph.num_vertices if step.active is None else int(step.active.size)
     instructions = int(

@@ -14,9 +14,7 @@
  * POLICY_TABLE is indexed by the registry's integer code and carries
  * the per-class (hot/cold) promotion + insert-position flags and the
  * hot-line eviction-protection flag.  The hot-block classification is
- * a sorted array installed once via repro_sim_set_hot; hotness is a
- * pure function of the block ID, so the threaded two-pass variant
- * stays partition-safe.
+ * a sorted array installed once via repro_sim_set_hot.
  *
  * Compiled on demand by repro/cachesim/fast.py with the system C compiler
  * into a shared library and driven through ctypes:
@@ -33,7 +31,6 @@
  * the head.
  */
 
-#include <pthread.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -453,182 +450,6 @@ int32_t repro_sim_step(void *handle, const int64_t *blocks,
         }
     }
     return 0;
-}
-
-/* ------------------------------------------------- threaded step variant
- *
- * Bit-identical to repro_sim_step by construction, in two passes:
- *
- *  pass 1 (sequential): the last-writer directory depends only on the
- *    (block, core, is_write) stream, never on cache-level state, so one
- *    sequential walk evolves it exactly as the serial loop would and
- *    records a per-run snoop flag (plus the directory-side counters).
- *
- *  pass 2 (parallel): given the snoop flags, each run only touches the
- *    per-level sets of its block.  All set counts are powers of two, so
- *    the low bits below the *smallest* level's set mask select the same
- *    partition of sets at every level — runs in different partitions
- *    touch disjoint state and commute.  Runs are bucketed by partition
- *    owner in stream order during pass 1; each worker then replays its
- *    buckets in that order, so per-partition interleaving matches the
- *    serial loop and the summed counters are identical.
- */
-
-typedef struct {
-    Sim *s;
-    const int64_t *blocks;
-    const uint8_t *flags; /* 1 = forced snoop path */
-    const int64_t *order; /* this worker's run indices, stream order */
-    int64_t count;
-    int64_t l1_miss, l2_miss, l3_miss, l3_hit, offchip;
-} SimWorker;
-
-static void *sim_worker_run(void *arg) {
-    SimWorker *w = (SimWorker *)arg;
-    Sim *s = w->s;
-    for (int64_t k = 0; k < w->count; k++) {
-        int64_t b = w->blocks[w->order[k]];
-        if (w->flags[w->order[k]]) {
-            level_force_insert(&s->l1, b);
-            level_force_insert(&s->l2, b);
-            continue;
-        }
-        /* Hotness is a pure function of the block ID (a read-only
-         * sorted array), so per-partition replay stays deterministic. */
-        int hot = sim_is_hot(s, b);
-        int promote = hot ? s->pol.promote_hot : s->pol.promote_cold;
-        int insert_mru = hot ? s->pol.insert_mru_hot : s->pol.insert_mru_cold;
-        if (!level_access(&s->l1, b, promote)) {
-            w->l1_miss++;
-            if (!level_access(&s->l2, b, promote)) {
-                w->l2_miss++;
-                if (level_access(&s->l3, b, promote)) {
-                    w->l3_hit++;
-                } else {
-                    w->l3_miss++;
-                    w->offchip++;
-                    level_insert(s, &s->l3, b, insert_mru);
-                }
-                level_insert(s, &s->l2, b, insert_mru);
-            }
-            level_insert(s, &s->l1, b, insert_mru);
-        }
-    }
-    return NULL;
-}
-
-int32_t repro_sim_step_threaded(void *handle, const int64_t *blocks,
-                                const int64_t *counts, const uint8_t *writes,
-                                const int64_t *cores, int64_t n,
-                                int32_t threads) {
-    Sim *s = (Sim *)handle;
-    int64_t part_mask = s->l1.mask;
-    if (s->l2.mask < part_mask)
-        part_mask = s->l2.mask;
-    if (s->l3.mask < part_mask)
-        part_mask = s->l3.mask;
-    if (threads > part_mask + 1)
-        threads = (int32_t)(part_mask + 1);
-    if (threads > 64)
-        threads = 64;
-    if (threads <= 1 || n == 0)
-        return repro_sim_step(handle, blocks, counts, writes, cores, n);
-
-    uint8_t *flags = (uint8_t *)malloc((size_t)n);
-    uint8_t *owner = (uint8_t *)malloc((size_t)n);
-    int64_t *order = (int64_t *)malloc((size_t)n * sizeof(int64_t));
-    SimWorker *workers = (SimWorker *)calloc((size_t)threads, sizeof(SimWorker));
-    pthread_t *tids = (pthread_t *)malloc((size_t)threads * sizeof(pthread_t));
-    if (!flags || !owner || !order || !workers || !tids)
-        goto fail;
-
-    /* pass 1: directory walk + snoop flags + partition bucketing. */
-    int64_t cps = s->cores_per_socket;
-    for (int64_t i = 0; i < n; i++) {
-        int64_t b = blocks[i];
-        int64_t core = cores[i];
-        int is_write = writes[i];
-        s->accesses += counts[i];
-        owner[i] = (uint8_t)((b & part_mask) % threads);
-        int64_t e = dir_lookup(s, b);
-        if (e >= 0 && s->entries[e].core != core) {
-            flags[i] = 1;
-            s->l1_miss++;
-            s->l2_miss++;
-            if (floor_div(s->entries[e].core, cps) == floor_div(core, cps))
-                s->snoop_local++;
-            else
-                s->snoop_remote++;
-            if (is_write) {
-                s->entries[e].core = core;
-                list_unlink(s, (int32_t)e);
-                list_append(s, (int32_t)e);
-            } else {
-                dir_delete(s, b);
-            }
-            continue;
-        }
-        flags[i] = 0;
-        if (is_write) {
-            if (dir_set(s, b, core) != 0)
-                goto fail;
-            if (s->dir_size > s->ownership_cap)
-                dir_delete(s, s->entries[s->head].key);
-        }
-    }
-
-    /* Bucket run indices per owner, preserving stream order. */
-    int64_t *cursor = (int64_t *)calloc((size_t)threads + 1, sizeof(int64_t));
-    if (!cursor)
-        goto fail;
-    for (int64_t i = 0; i < n; i++)
-        cursor[owner[i] + 1]++;
-    for (int32_t t = 0; t < threads; t++)
-        cursor[t + 1] += cursor[t];
-    for (int32_t t = 0; t < threads; t++) {
-        workers[t].s = s;
-        workers[t].blocks = blocks;
-        workers[t].flags = flags;
-        workers[t].order = order + cursor[t];
-        workers[t].count = cursor[t + 1] - cursor[t];
-    }
-    for (int64_t i = 0; i < n; i++)
-        order[cursor[owner[i]]++] = i;
-    free(cursor);
-
-    /* pass 2: parallel per-partition level replay. */
-    int32_t spawned = 0;
-    for (int32_t t = 1; t < threads; t++) {
-        if (pthread_create(&tids[t], NULL, sim_worker_run, &workers[t]) != 0)
-            break;
-        spawned = t;
-    }
-    sim_worker_run(&workers[0]);
-    for (int32_t t = 1; t <= spawned; t++)
-        pthread_join(tids[t], NULL);
-    /* Any partitions whose thread failed to spawn run here, in order. */
-    for (int32_t t = spawned + 1; t < threads; t++)
-        sim_worker_run(&workers[t]);
-    for (int32_t t = 0; t < threads; t++) {
-        s->l1_miss += workers[t].l1_miss;
-        s->l2_miss += workers[t].l2_miss;
-        s->l3_miss += workers[t].l3_miss;
-        s->l3_hit += workers[t].l3_hit;
-        s->offchip += workers[t].offchip;
-    }
-    free(flags);
-    free(owner);
-    free(order);
-    free(workers);
-    free(tids);
-    return 0;
-fail:
-    free(flags);
-    free(owner);
-    free(order);
-    free(workers);
-    free(tids);
-    return -1;
 }
 
 void repro_sim_counters(void *handle, int64_t *out) {

@@ -26,7 +26,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro import engines
 from repro._compile import KernelUnavailable, LazyKernel, kernel_build_dir
 from repro.cachesim.policies import get_policy
 from repro.framework.trace import MemoryTrace
@@ -65,23 +64,13 @@ def _configure(lib: ctypes.CDLL) -> None:
         i64,
     ]
     lib.repro_sim_step.restype = ctypes.c_int32
-    lib.repro_sim_step_threaded.argtypes = [
-        ctypes.c_void_p,
-        p64,
-        p64,
-        ctypes.POINTER(ctypes.c_uint8),
-        p64,
-        i64,
-        ctypes.c_int32,
-    ]
-    lib.repro_sim_step_threaded.restype = ctypes.c_int32
     lib.repro_sim_counters.argtypes = [ctypes.c_void_p, p64]
     lib.repro_sim_counters.restype = None
     lib.repro_sim_destroy.argtypes = [ctypes.c_void_p]
     lib.repro_sim_destroy.restype = None
 
 
-_KERNEL = LazyKernel(_source_path(), "fastsim", _configure, flags=("-pthread",))
+_KERNEL = LazyKernel(_source_path(), "fastsim", _configure)
 
 
 def _load_kernel() -> ctypes.CDLL:
@@ -113,7 +102,7 @@ class FastSimulator:
     C-side allocation.
     """
 
-    def __init__(self, config, threads: int | None = None, hot_blocks=None) -> None:
+    def __init__(self, config, hot_blocks=None) -> None:
         from repro.cachesim.hierarchy import HierarchyConfig
 
         if not isinstance(config, HierarchyConfig):
@@ -124,8 +113,6 @@ class FastSimulator:
             raise ValueError(f"ownership capacity {cap} out of kernel range")
         self._lib = _load_kernel()
         self.config = config
-        #: Worker threads per step; 1 selects the serial kernel loop.
-        self.threads = engines.resolve_kernel_threads(threads) if threads else 1
         self._handle = self._lib.repro_sim_create(
             config.l1.num_sets,
             config.l1.associativity,
@@ -182,7 +169,7 @@ class FastSimulator:
         if n == 0:
             return
         i64 = ctypes.POINTER(ctypes.c_int64)
-        args = (
+        rc = self._lib.repro_sim_step(
             self._handle,
             blocks.ctypes.data_as(i64),
             counts.ctypes.data_as(i64),
@@ -190,10 +177,6 @@ class FastSimulator:
             cores.ctypes.data_as(i64),
             n,
         )
-        if self.threads > 1:
-            rc = self._lib.repro_sim_step_threaded(*args, self.threads)
-        else:
-            rc = self._lib.repro_sim_step(*args)
         if rc != 0:
             raise MemoryError("kernel ran out of memory while simulating")
 
@@ -220,19 +203,17 @@ def simulate_trace_fast(
     trace: MemoryTrace,
     config,
     chunk_runs: int = DEFAULT_CHUNK_RUNS,
-    threads: int | None = None,
     hot_blocks=None,
 ):
     """Run a full trace through the compiled engine; returns CacheStats.
 
-    ``threads`` selects the pthread-chunked kernel variant (``None`` = the
-    serial loop); results are bit-identical either way.  ``hot_blocks``
-    is the static hot-block classification for skew-aware policies.
+    ``hot_blocks`` is the static hot-block classification for skew-aware
+    policies.
     Raises :class:`KernelUnavailable` when the kernel cannot be built;
     callers wanting a fallback should use
     :func:`repro.cachesim.simulate_trace` with the ``auto`` engine.
     """
-    with FastSimulator(config, threads=threads, hot_blocks=hot_blocks) as sim:
+    with FastSimulator(config, hot_blocks=hot_blocks) as sim:
         for blocks, counts, writes, cores in trace.chunks(chunk_runs):
             sim.step(blocks, counts, writes, cores)
         return sim.stats()

@@ -38,11 +38,9 @@ from dataclasses import dataclass
 
 __all__ = [
     "ENGINE_CHOICES",
-    "THREADS_ENV",
     "EngineDomain",
     "DOMAINS",
     "resolve",
-    "resolve_kernel_threads",
     "validate_env",
     "fast_available",
     "unavailable_reason",
@@ -51,13 +49,9 @@ __all__ = [
     "status",
 ]
 
-#: The recognized values, shared by every domain.  ``fast-threaded``
-#: selects the pthread-chunked kernel variants; results stay bit-identical
-#: to ``fast`` and ``reference`` (verified by the differential suite).
-ENGINE_CHOICES = ("auto", "fast", "fast-threaded", "reference")
-
-#: Campaign-wide worker-thread count for the ``fast-threaded`` kernels.
-THREADS_ENV = "REPRO_KERNEL_THREADS"
+#: The recognized values, shared by every domain; ``fast`` and
+#: ``reference`` stay bit-identical (verified by the differential suite).
+ENGINE_CHOICES = ("auto", "fast", "reference")
 
 
 @dataclass(frozen=True)
@@ -131,35 +125,6 @@ def resolve(domain: str, explicit: str | None = None, fallback: str | None = Non
     return choice
 
 
-def resolve_kernel_threads(
-    explicit: int | None = None, fallback: int | None = None
-) -> int:
-    """Worker-thread count for the ``fast-threaded`` kernels.
-
-    Same precedence chain as :func:`resolve`: explicit argument >
-    ``REPRO_KERNEL_THREADS`` > configured fallback > auto (the machine's
-    CPU count).  The result is clamped to at least 1; non-integer or
-    non-positive environment values raise :class:`ValueError` naming the
-    variable.
-    """
-    if explicit is not None:
-        return max(1, int(explicit))
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            raise ValueError(
-                f"{THREADS_ENV}={env!r} is not an integer"
-            ) from None
-        if value < 1:
-            raise ValueError(f"{THREADS_ENV}={env!r} must be >= 1")
-        return value
-    if fallback is not None:
-        return max(1, int(fallback))
-    return max(1, os.cpu_count() or 1)
-
-
 def validate_env(domains: tuple[str, ...] | None = None) -> dict[str, str]:
     """Eagerly validate the engine environment variables.
 
@@ -167,10 +132,8 @@ def validate_env(domains: tuple[str, ...] | None = None) -> dict[str, str]:
     (default: all).  Raises :class:`ValueError` on the first unknown
     value, naming the offending variable — called at campaign startup
     (CLI, ``run_grid``) so a typo like ``REPRO_SIM_ENGINE=fastest``
-    fails loudly before any worker is spawned.  ``REPRO_KERNEL_THREADS``
-    is validated alongside the engine variables.
+    fails loudly before any worker is spawned.
     """
-    resolve_kernel_threads()
     return {name: resolve(name) for name in (domains or tuple(DOMAINS))}
 
 
@@ -226,9 +189,4 @@ def status() -> dict[str, dict]:
             "unavailable_reason": unavailable_reason(name),
         }
     report["sim"]["policies"] = list(sim_policies())
-    report["kernel_threads"] = {
-        "env_var": THREADS_ENV,
-        "env_value": os.environ.get(THREADS_ENV),
-        "resolved": resolve_kernel_threads(),
-    }
     return report

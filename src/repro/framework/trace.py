@@ -260,16 +260,12 @@ class TraceBuilder:
         self._writes.append(np.broadcast_to(np.asarray(write, dtype=bool), indices.shape))
         self._cores.append(np.broadcast_to(np.asarray(core, dtype=np.int64), indices.shape))
 
-    def build(
-        self, engine: str | None = None, threads: int | None = None
-    ) -> MemoryTrace:
+    def build(self, engine: str | None = None) -> MemoryTrace:
         """Merge all streams by time key and run-length compress.
 
         ``engine`` selects the merge implementation (``auto``/``fast``/
-        ``fast-threaded``/``reference``, default from
-        ``REPRO_TRACE_ENGINE``); all produce bit-identical traces.
-        ``threads`` only matters under ``fast-threaded`` (default:
-        ``REPRO_KERNEL_THREADS``, else the CPU count).
+        ``reference``, default from ``REPRO_TRACE_ENGINE``); all produce
+        bit-identical traces.
         """
         import time
 
@@ -294,13 +290,7 @@ class TraceBuilder:
             if fasttrace.use_fast(engine):
                 used = "fast"
                 trace = MemoryTrace(
-                    *fasttrace.trace_build_fast(
-                        blocks,
-                        keys,
-                        writes,
-                        cores,
-                        threads=fasttrace.resolve_threads(engine, threads),
-                    )
+                    *fasttrace.trace_build_fast(blocks, keys, writes, cores)
                 )
                 fasttrace.BUILD_STATS.record(
                     used,
@@ -310,7 +300,7 @@ class TraceBuilder:
                 )
                 return trace
         except fasttrace.KernelUnavailable:
-            if fasttrace.resolve_trace_engine(engine) in ("fast", "fast-threaded"):
+            if fasttrace.resolve_trace_engine(engine) == "fast":
                 raise
 
         order = np.argsort(keys, kind="stable")

@@ -40,18 +40,13 @@ from repro._compile import KernelUnavailable, LazyKernel
 
 __all__ = [
     "KernelUnavailable",
-    "GRAPH_ENGINES",
     "resolve_graph_engine",
     "fast_available",
     "kernel_unavailable_reason",
     "use_fast",
-    "resolve_threads",
     "relabel_arrays",
     "build_csr_arrays",
 ]
-
-#: Recognized graph-structure engines (mirrors ``cachesim.ENGINES``).
-GRAPH_ENGINES = ("auto", "fast", "fast-threaded", "reference")
 
 _F64 = ctypes.POINTER(ctypes.c_double)
 _I64 = ctypes.POINTER(ctypes.c_int64)
@@ -69,22 +64,9 @@ def _configure(lib: ctypes.CDLL) -> None:
         _I64, _I64, _F64, i64, i64, _I64, _I32, _F64, _I64, _I32, _F64,
     ]
     lib.repro_build_csr.restype = i32
-    lib.repro_relabel_threaded.argtypes = [
-        _I64, _I32, _F64, _I32, i64, _I64, _I32, _F64, _I64, _I32, _F64, i32,
-    ]
-    lib.repro_relabel_threaded.restype = i32
-    lib.repro_build_csr_threaded.argtypes = [
-        _I64, _I64, _F64, i64, i64, _I64, _I32, _F64, _I64, _I32, _F64, i32,
-    ]
-    lib.repro_build_csr_threaded.restype = i32
 
 
-_KERNEL = LazyKernel(
-    Path(__file__).with_name("_fastgraph.c"),
-    "fastgraph",
-    _configure,
-    flags=("-pthread",),
-)
+_KERNEL = LazyKernel(Path(__file__).with_name("_fastgraph.c"), "fastgraph", _configure)
 
 
 def resolve_graph_engine(engine: str | None = None) -> str:
@@ -116,30 +98,16 @@ def _reset_kernel_cache() -> None:
 def use_fast(engine: str | None = None) -> bool:
     """Resolve dispatch: True to run the kernel, False for the reference.
 
-    Raises :class:`KernelUnavailable` when ``fast`` (or ``fast-threaded``)
-    is requested explicitly but the kernel cannot be built.
+    Raises :class:`KernelUnavailable` when ``fast`` is requested
+    explicitly but the kernel cannot be built.
     """
     choice = resolve_graph_engine(engine)
     if choice == "reference":
         return False
-    if choice in ("fast", "fast-threaded"):
+    if choice == "fast":
         _KERNEL.load()  # raise with the real reason when unavailable
         return True
     return fast_available()
-
-
-def resolve_threads(engine: str | None, threads: int | None) -> int:
-    """Worker count for a kernel call: 1 unless ``fast-threaded`` is chosen.
-
-    When the resolved engine is ``fast-threaded``, ``threads`` (explicit >
-    ``REPRO_KERNEL_THREADS`` > CPU count) selects the pthread variant;
-    otherwise the serial kernel runs.  Results are bit-identical either way.
-    """
-    if resolve_graph_engine(engine) != "fast-threaded":
-        return 1
-    from repro import engines
-
-    return engines.resolve_kernel_threads(threads)
 
 
 def _null(ptr_type):
@@ -151,7 +119,6 @@ def relabel_arrays(
     out_targets: np.ndarray,
     out_weights: np.ndarray | None,
     mapping: np.ndarray,
-    threads: int = 1,
 ) -> tuple:
     """Relabelled dual-CSR arrays under a (pre-validated) permutation.
 
@@ -159,7 +126,6 @@ def relabel_arrays(
     out_weights, in_weights)`` byte-identical to what the numpy
     reference in :meth:`Graph.relabel` produces.  ``mapping`` must be a
     validated permutation — the kernel scatters through it unchecked.
-    ``threads > 1`` runs the pthread-chunked variant (same bytes out).
     Raises :class:`KernelUnavailable` when the kernel cannot be built.
     """
     lib = _KERNEL.load()
@@ -182,7 +148,7 @@ def relabel_arrays(
     else:
         new_out_weights = new_in_weights = None
         w_in = w_out = w_in_csr = _null(_F64)
-    args = (
+    rc = lib.repro_relabel(
         out_offsets.ctypes.data_as(_I64),
         out_targets.ctypes.data_as(_I32),
         w_in,
@@ -195,10 +161,6 @@ def relabel_arrays(
         new_in_sources.ctypes.data_as(_I32),
         w_in_csr,
     )
-    if threads > 1:
-        rc = lib.repro_relabel_threaded(*args, threads)
-    else:
-        rc = lib.repro_relabel(*args)
     if rc != 0:
         raise MemoryError("relabel kernel ran out of memory")
     return (
@@ -216,7 +178,6 @@ def build_csr_arrays(
     src: np.ndarray,
     dst: np.ndarray,
     weights: np.ndarray | None,
-    threads: int = 1,
 ) -> tuple:
     """Dual-CSR arrays built from parallel edge-endpoint arrays.
 
@@ -249,7 +210,7 @@ def build_csr_arrays(
     else:
         out_weights = in_weights = None
         w_in = w_out = w_in_csr = _null(_F64)
-    args = (
+    rc = lib.repro_build_csr(
         src.ctypes.data_as(_I64),
         dst.ctypes.data_as(_I64),
         w_in,
@@ -262,10 +223,6 @@ def build_csr_arrays(
         in_sources.ctypes.data_as(_I32),
         w_in_csr,
     )
-    if threads > 1:
-        rc = lib.repro_build_csr_threaded(*args, threads)
-    else:
-        rc = lib.repro_build_csr(*args)
     if rc != 0:
         raise MemoryError("CSR-build kernel ran out of memory")
     return out_offsets, out_targets, in_offsets, in_sources, out_weights, in_weights

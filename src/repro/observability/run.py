@@ -99,19 +99,16 @@ def _kernel_report() -> dict:
     """Scaling knobs in effect for this run's kernels.
 
     Captures what the timing numbers in the manifest depend on beyond
-    the engine choices: the resolved kernel worker count, the fused
-    trace→simulate byte budget, the graph mmap threshold and the
-    process's peak RSS at manifest time.  Imports are deferred — the
-    pipeline imports observability at module load, not vice versa.
+    the engine choices: the fused trace→simulate byte budget, the graph
+    mmap threshold and the process's peak RSS at manifest time.  Imports
+    are deferred — the pipeline imports observability at module load,
+    not vice versa.
     """
-    from repro import engines
     from repro.graph import csr
     from repro.observability.tracing import _peak_rss_kb
     from repro.pipeline import stages
 
     return {
-        "threads": engines.resolve_kernel_threads(None),
-        "threads_env": os.environ.get(engines.THREADS_ENV),
         "fused_trace_bytes": stages.fused_trace_budget(),
         "graph_mmap_bytes": csr.graph_mmap_budget(),
         "peak_rss_kb": _peak_rss_kb(),

@@ -31,7 +31,7 @@ import numpy as np
 from repro.cachesim import CacheGeometry, HierarchyConfig
 from repro.cachesim.policies import get_policy
 from repro.graph.builder import from_edges
-from repro.graph.csr import Graph
+from repro.graph.csr import _ID_DTYPE, Graph
 from repro.pipeline.cells import CellPipeline, ExperimentConfig
 from repro.pipeline.profiler import PROFILER
 
@@ -87,6 +87,12 @@ def upload_payload(
     num_vertices = int(num_vertices)
     if num_vertices <= 0:
         raise ValueError("num_vertices must be positive")
+    # Graph stores vertex ids as int32; a larger graph would overflow the
+    # CSR index range (or demand a multi-GB offsets array) in the worker.
+    if num_vertices > np.iinfo(_ID_DTYPE).max:
+        raise ValueError(
+            f"num_vertices must be at most {np.iinfo(_ID_DTYPE).max}"
+        )
     if edges.size and (edges.min() < 0 or edges.max() >= num_vertices):
         raise ValueError("edge endpoint out of range")
     payload = {

@@ -116,12 +116,12 @@ class TestRunGrid:
 
 
 class TestSharedGraphTransport:
-    """Zero-copy graph shipping to grid workers (repro.analysis.sharedgraph)."""
+    """Zero-copy graph shipping to grid workers (repro.pipeline.sharedgraph)."""
 
     GRID = (["PR", "SSSP"], ["lj"], ["Original", "DBG"])
 
     def test_export_attach_roundtrip(self, runner):
-        from repro.analysis import sharedgraph
+        from repro.pipeline import sharedgraph
 
         graphs = {
             ("lj", False): runner.graph("lj"),
@@ -164,7 +164,7 @@ class TestSharedGraphTransport:
 
     def test_warm_cache_skips_export(self, tmp_path, monkeypatch):
         """A fully-cached grid must not rebuild or export any graph."""
-        from repro.analysis import sharedgraph
+        from repro.pipeline import sharedgraph
 
         config = ExperimentConfig(scale=0.2, num_roots=1)
         runner = ExperimentRunner(config, store=ArtifactStore(tmp_path / "c"))
@@ -179,7 +179,7 @@ class TestSharedGraphTransport:
         assert len(results) == 4
 
     def test_mmap_spill_roundtrip(self, runner, tmp_path):
-        from repro.analysis import sharedgraph
+        from repro.pipeline import sharedgraph
 
         graphs = {
             ("lj", False): runner.graph("lj"),
@@ -222,7 +222,7 @@ class TestSharedGraphTransport:
 
     def test_export_failure_falls_back(self, tmp_path, monkeypatch):
         """SharedMemoryUnavailable must degrade to regeneration, not fail."""
-        from repro.analysis import sharedgraph
+        from repro.pipeline import sharedgraph
 
         def unavailable(graphs):
             raise sharedgraph.SharedMemoryUnavailable("no /dev/shm")
@@ -344,7 +344,7 @@ class TestCacheKeyRegressions:
 
 class TestTraceMemoization:
     def test_trace_reused_across_runners(self, runner, tmp_path):
-        from repro.analysis.profiler import PROFILER
+        from repro.pipeline.profiler import PROFILER
 
         first = runner.cell("PR", "lj", "DBG")
         replay = ExperimentRunner(runner.config, store=ArtifactStore(tmp_path))
@@ -375,7 +375,7 @@ class TestTraceMemoization:
 
 class TestGridProfiler:
     def test_serial_grid_records_stages(self, runner):
-        from repro.analysis.profiler import PROFILER
+        from repro.pipeline.profiler import PROFILER
 
         PROFILER.reset()
         runner.run_grid(["PR"], ["lj"], ["Original", "DBG"])
@@ -385,7 +385,7 @@ class TestGridProfiler:
         assert "trace" in PROFILER.format_snapshot()
 
     def test_parallel_grid_merges_worker_deltas(self, tmp_path):
-        from repro.analysis.profiler import PROFILER
+        from repro.pipeline.profiler import PROFILER
 
         config = ExperimentConfig(scale=0.2, num_roots=1)
         runner = ExperimentRunner(config, store=ArtifactStore(tmp_path / "p"))

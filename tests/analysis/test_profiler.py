@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.profiler import (
+from repro.pipeline.profiler import (
     PROFILER,
     StageProfiler,
     StageStats,
