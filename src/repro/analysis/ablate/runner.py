@@ -33,6 +33,7 @@ from repro.analysis.ablate.spec import AblationRun, AblationSuite, enumerate_run
 from repro.analysis.experiments import (
     ExperimentConfig,
     ExperimentRunner,
+    cell_speedup,
     geomean_speedup,
 )
 from repro.observability.metrics import METRICS
@@ -129,8 +130,7 @@ def _run_metrics(results) -> dict:
             continue
         treat_mpki.append(cell.mpki["l3"])
         l2_misses += int(cell.l2_misses)
-        base = cells[(app, dataset, "Original")]
-        speedups.append((base.run_cycles / cell.run_cycles - 1.0) * 100.0)
+        speedups.append(cell_speedup(cells[(app, dataset, "Original")], cell))
     return {
         "cells": len(cells),
         "geomean_speedup_pct": round(

@@ -20,22 +20,25 @@ cache hierarchy.  These studies sweep each knob through the full pipeline:
   arXiv:2111.12281), on the ring-window generator.
 
 Every sweep routes its cells through the shared store-backed
-:meth:`ExperimentRunner.run_grid` path before reading speedups, so
-stage artifacts dedup exactly-once per store (not per sweep call) and a
-warm re-invocation replays with zero recompute spans — the property the
+:meth:`ExperimentRunner.run_grid` path before reading speedups (most via
+:func:`~repro.analysis.experiments.speedup_table`), so stage artifacts
+dedup exactly-once per store (not per sweep call) and a warm
+re-invocation replays with zero recompute spans — the property the
 ``repro-ablate`` harness and ``tests/analysis/test_ablations_warm.py``
-gate on.  The ``workers`` parameter fans the pre-warm out over the grid
-scheduler's process pool.
+gate on.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 from repro.analysis.experiments import (
-    ExperimentConfig,
     ExperimentRunner,
-    geomean_speedup,
+    cell_speedup,
+    speedup_table,
 )
-from repro.graph.generators import SKEWED_DATASETS, STRUCTURED_DATASETS
+from repro.graph.generators import SKEWED_DATASETS
+from repro.perfmodel import speedup_pct
 
 __all__ = [
     "slicing_comparison",
@@ -92,7 +95,7 @@ def slicing_comparison(
                 round(dbg.mpki["l3"], 1),
                 round(stats.mpki(trace.instructions)["l3"], 1),
                 round(runner.speedup("PR", dataset, "DBG"), 1),
-                round((base.superstep_cycles / sliced_cycles - 1.0) * 100.0, 1),
+                round(speedup_pct(base.superstep_cycles, sliced_cycles), 1),
             ]
         )
     return {
@@ -114,29 +117,15 @@ def dbg_group_sweep(
     runner: ExperimentRunner | None = None,
     group_counts: tuple[int, ...] = (1, 2, 4, 6, 9, 12),
     app: str = "PR",
-    workers: int | None = None,
 ) -> dict:
     """Speed-up of DBG as a function of its hot-group count."""
     runner = runner or ExperimentRunner()
     labels = ["DBG" if c == 6 else f"DBG-g{c}" for c in group_counts]
-    runner.run_grid(
-        [app], list(SKEWED_DATASETS), ["Original"] + labels, workers=workers
-    )
-    rows = []
-    for dataset in SKEWED_DATASETS:
-        row = [dataset]
-        for count in group_counts:
-            label = "DBG" if count == 6 else f"DBG-g{count}"
-            row.append(round(runner.speedup(app, dataset, label), 1))
-        rows.append(row)
-    gmeans = ["GMean"]
-    for idx in range(len(group_counts)):
-        gmeans.append(round(geomean_speedup([row[idx + 1] for row in rows]), 1))
-    rows.append(gmeans)
+    table = speedup_table(runner, [app], SKEWED_DATASETS, labels)
     return {
         "title": f"Ablation: {app} speed-up (%) vs DBG hot-group count",
         "headers": ["dataset"] + [f"{c} groups" for c in group_counts],
-        "rows": rows,
+        "rows": [row[1:] for row in table.rows] + [["GMean", *table.gmeans()]],
         "notes": (
             "Expected: a plateau around the paper's choice (6 hot groups + "
             "2 cold); very few groups forfeit hottest-vertex packing, while "
@@ -149,29 +138,15 @@ def dbg_threshold_sweep(
     runner: ExperimentRunner | None = None,
     scales: tuple[float, ...] = (0.25, 0.5, 1.0, 2.0, 4.0),
     app: str = "PR",
-    workers: int | None = None,
 ) -> dict:
     """Speed-up of DBG as the group boundaries are scaled by a factor."""
     runner = runner or ExperimentRunner()
     labels = ["DBG" if s == 1.0 else f"DBG-t{s}" for s in scales]
-    runner.run_grid(
-        [app], list(SKEWED_DATASETS), ["Original"] + labels, workers=workers
-    )
-    rows = []
-    for dataset in SKEWED_DATASETS:
-        row = [dataset]
-        for scale in scales:
-            label = "DBG" if scale == 1.0 else f"DBG-t{scale}"
-            row.append(round(runner.speedup(app, dataset, label), 1))
-        rows.append(row)
-    gmeans = ["GMean"]
-    for idx in range(len(scales)):
-        gmeans.append(round(geomean_speedup([row[idx + 1] for row in rows]), 1))
-    rows.append(gmeans)
+    table = speedup_table(runner, [app], SKEWED_DATASETS, labels)
     return {
         "title": f"Ablation: {app} speed-up (%) vs DBG boundary scale",
         "headers": ["dataset"] + [f"x{s}" for s in scales],
-        "rows": rows,
+        "rows": [row[1:] for row in table.rows] + [["GMean", *table.gmeans()]],
         "notes": "The paper's threshold (x1.0, i.e. the average degree) should sit near the top.",
     }
 
@@ -181,7 +156,6 @@ def cache_scale_sweep(
     factors: tuple[int, ...] = (1, 2, 4, 8, 16, 32),
     app: str = "PR",
     datasets: tuple[str, ...] = ("sd", "fr"),
-    workers: int | None = None,
 ) -> dict:
     """DBG's benefit as the whole hierarchy grows.
 
@@ -201,15 +175,11 @@ def cache_scale_sweep(
         if factor == 1:
             runners[factor] = base_runner
         else:
-            config = ExperimentConfig(
-                scale=base_config.scale,
-                hierarchy=base_config.hierarchy.scaled(factor),
-                num_roots=base_config.num_roots,
+            config = dataclasses.replace(
+                base_config, hierarchy=base_config.hierarchy.scaled(factor)
             )
             runners[factor] = ExperimentRunner(config, store=base_runner.store)
-        runners[factor].run_grid(
-            [app], list(datasets), ["Original", "DBG"], workers=workers
-        )
+        runners[factor].run_grid([app], list(datasets), ["Original", "DBG"])
     rows = []
     for dataset in datasets:
         row = [dataset]
@@ -232,7 +202,6 @@ def replacement_policy_sweep(
     policies: tuple[str, ...] | None = None,
     app: str = "PR",
     datasets: tuple[str, ...] = ("sd", "fr", "kr"),
-    workers: int | None = None,
 ) -> dict:
     """DBG's benefit under different cache replacement policies.
 
@@ -253,11 +222,7 @@ def replacement_policy_sweep(
         policies = tuple(policy_names())
     base_runner = base_runner or ExperimentRunner()
     base_runner.run_grid(
-        [app],
-        list(datasets),
-        ["Original", "DBG"],
-        workers=workers,
-        policies=list(policies),
+        [app], list(datasets), ["Original", "DBG"], policies=list(policies)
     )
     rows = []
     for dataset in datasets:
@@ -266,7 +231,7 @@ def replacement_policy_sweep(
             view = base_runner.pipeline.policy_view(policy)
             base = view.cell(app, dataset, "Original")
             cell = view.cell(app, dataset, "DBG")
-            row.append(round((base.run_cycles / cell.run_cycles - 1.0) * 100.0, 1))
+            row.append(round(cell_speedup(base, cell), 1))
         rows.append(row)
     return {
         "title": f"Ablation: DBG {app} speed-up (%) vs cache replacement policy",
@@ -281,7 +246,6 @@ def gorder_window_sweep(
     windows: tuple[int, ...] = (2, 5, 10),
     app: str = "PR",
     datasets: tuple[str, ...] = ("pl", "wl"),
-    workers: int | None = None,
 ) -> dict:
     """Gorder's one tuning knob: the placement window.
 
@@ -291,18 +255,11 @@ def gorder_window_sweep(
     """
     runner = runner or ExperimentRunner()
     labels = ["Gorder" if w == 5 else f"Gorder-w{w}" for w in windows]
-    runner.run_grid([app], list(datasets), ["Original"] + labels, workers=workers)
-    rows = []
-    for dataset in datasets:
-        row = [dataset]
-        for window in windows:
-            label = "Gorder" if window == 5 else f"Gorder-w{window}"
-            row.append(round(runner.speedup(app, dataset, label), 1))
-        rows.append(row)
+    table = speedup_table(runner, [app], datasets, labels)
     return {
         "title": f"Ablation: {app} speed-up (%) vs Gorder window size",
         "headers": ["dataset"] + [f"w={w}" for w in windows],
-        "rows": rows,
+        "rows": [row[1:] for row in table.rows],
         "notes": "Wei et al.'s default (w=5) should be competitive across datasets.",
     }
 
@@ -311,30 +268,14 @@ def extended_techniques(
     runner: ExperimentRunner | None = None,
     app: str = "PR",
     techniques: tuple[str, ...] = ("DBG", "BFS", "DFS", "RCM", "Community", "Gorder", "Gorder+DBG"),
-    workers: int | None = None,
 ) -> dict:
     """Related-work orderings beside the paper's winner."""
     runner = runner or ExperimentRunner()
-    runner.run_grid(
-        [app],
-        list(SKEWED_DATASETS),
-        ["Original"] + list(techniques),
-        workers=workers,
-    )
-    rows = []
-    for dataset in SKEWED_DATASETS:
-        row = [dataset]
-        for technique in techniques:
-            row.append(round(runner.speedup(app, dataset, technique), 1))
-        rows.append(row)
-    gmeans = ["GMean"]
-    for idx in range(len(techniques)):
-        gmeans.append(round(geomean_speedup([row[idx + 1] for row in rows]), 1))
-    rows.append(gmeans)
+    table = speedup_table(runner, [app], SKEWED_DATASETS, techniques)
     return {
         "title": f"Extended comparison: {app} speed-up (%), traversal orderings vs DBG",
         "headers": ["dataset"] + list(techniques),
-        "rows": rows,
+        "rows": [row[1:] for row in table.rows] + [["GMean", *table.gmeans()]],
         "notes": (
             "BFS/DFS/RCM are structure-only: they rebuild locality but never "
             "pack hot vertices, so skewed datasets favour DBG."
@@ -346,7 +287,6 @@ def degree_kind_sweep(
     runner: ExperimentRunner | None = None,
     app: str = "PR",
     kinds: tuple[str, ...] = ("out", "in", "both"),
-    workers: int | None = None,
 ) -> dict:
     """Which degrees should drive the reordering?
 
@@ -356,27 +296,14 @@ def degree_kind_sweep(
     This sweep re-runs DBG with each choice.
     """
     runner = runner or ExperimentRunner()
-    runner.run_grid(
-        [app],
-        list(SKEWED_DATASETS),
-        ["Original"] + [f"DBG@{kind}" for kind in kinds],
-        workers=workers,
+    table = speedup_table(
+        runner, [app], SKEWED_DATASETS, [f"DBG@{kind}" for kind in kinds]
     )
-    rows = []
-    for dataset in SKEWED_DATASETS:
-        row = [dataset]
-        for kind in kinds:
-            row.append(round(runner.speedup(app, dataset, f"DBG@{kind}"), 1))
-        rows.append(row)
-    gmeans = ["GMean"]
-    for idx in range(len(kinds)):
-        gmeans.append(round(geomean_speedup([row[idx + 1] for row in rows]), 1))
-    rows.append(gmeans)
     default_kind = {"PR": "out", "Radii": "out", "BC": "out"}.get(app, "in")
     return {
         "title": f"Ablation: {app} speed-up (%) vs DBG reordering degree kind",
         "headers": ["dataset"] + list(kinds),
-        "rows": rows,
+        "rows": [row[1:] for row in table.rows] + [["GMean", *table.gmeans()]],
         "notes": f"Paper Table VIII uses '{default_kind}' for {app}.",
     }
 
@@ -385,34 +312,14 @@ def extension_apps(
     runner: ExperimentRunner | None = None,
     apps: tuple[str, ...] = ("CC", "KCore"),
     techniques: tuple[str, ...] = ("Sort", "HubCluster", "DBG"),
-    workers: int | None = None,
 ) -> dict:
     """Reordering effects on workloads beyond the paper's suite."""
     runner = runner or ExperimentRunner()
-    runner.run_grid(
-        list(apps),
-        list(SKEWED_DATASETS),
-        ["Original"] + list(techniques),
-        workers=workers,
-    )
-    rows = []
-    per_tech: dict[str, list[float]] = {t: [] for t in techniques}
-    for app in apps:
-        for dataset in SKEWED_DATASETS:
-            row = [app, dataset]
-            for technique in techniques:
-                s = runner.speedup(app, dataset, technique)
-                per_tech[technique].append(s)
-                row.append(round(s, 1))
-            rows.append(row)
-    rows.append(
-        ["GMean", "all"]
-        + [round(geomean_speedup(per_tech[t]), 1) for t in techniques]
-    )
+    table = speedup_table(runner, apps, SKEWED_DATASETS, techniques)
     return {
         "title": "Extension apps: speed-up (%) on CC and KCore",
         "headers": ["app", "dataset"] + list(techniques),
-        "rows": rows,
+        "rows": table.rows + [["GMean", "all", *table.gmeans()]],
         "notes": "The skew argument is application-agnostic: any kernel with "
         "degree-proportional reuse benefits.",
     }
@@ -423,7 +330,6 @@ def diameter_sweep(
     datasets: tuple[str, ...] = ("swl", "swh"),
     app: str = "PR",
     techniques: tuple[str, ...] = ("DBG", "HubSort"),
-    workers: int | None = None,
 ) -> dict:
     """Reordering benefit vs graph diameter (Satav et al.'s axis).
 
@@ -438,16 +344,11 @@ def diameter_sweep(
     from repro.graph.properties import approximate_diameter
 
     runner = runner or ExperimentRunner()
-    runner.run_grid(
-        [app], list(datasets), ["Original"] + list(techniques), workers=workers
-    )
-    rows = []
-    for dataset in datasets:
-        diameter = approximate_diameter(runner.graph(dataset), samples=4)
-        row = [dataset, diameter]
-        for technique in techniques:
-            row.append(round(runner.speedup(app, dataset, technique), 1))
-        rows.append(row)
+    table = speedup_table(runner, [app], datasets, techniques)
+    rows = [
+        [dataset, approximate_diameter(runner.graph(dataset), samples=4), *speedups]
+        for _, dataset, *speedups in table.rows
+    ]
     return {
         "title": f"Ablation: {app} speed-up (%) vs graph diameter",
         "headers": ["dataset", "diam~"] + list(techniques),

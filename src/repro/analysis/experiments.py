@@ -15,13 +15,19 @@ lifting lives in :mod:`repro.pipeline`:
 
 :class:`ExperimentRunner` keeps the historical surface (``cell``,
 ``run_grid``, ``speedup``) for the tables/figures/report layers and the
-notebooks, and simply delegates.
+notebooks, and simply delegates.  Every speed-up is computed by
+:func:`cell_speedup`, and every speed-up matrix with GMean rows is built
+by :func:`speedup_table`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+from typing import NamedTuple
+
 import numpy as np
 
+from repro.perfmodel import net_speedup_pct, speedup_pct
 from repro.pipeline import grid as _grid
 from repro.pipeline.cells import (  # noqa: F401  (re-exported surface)
     PAPER_TRAVERSALS,
@@ -32,7 +38,15 @@ from repro.pipeline.cells import (  # noqa: F401  (re-exported surface)
 )
 from repro.pipeline.store import ArtifactStore
 
-__all__ = ["ExperimentConfig", "ExperimentRunner", "CellResult"]
+__all__ = [
+    "ExperimentConfig",
+    "ExperimentRunner",
+    "CellResult",
+    "SpeedupTable",
+    "cell_speedup",
+    "geomean_speedup",
+    "speedup_table",
+]
 
 
 class ExperimentRunner:
@@ -143,17 +157,79 @@ class ExperimentRunner:
         traversals: int | None = None,
     ) -> float:
         """Speed-up (%) of a technique over the original ordering."""
-        base = self.cell(app_name, dataset, "Original")
-        cell = self.cell(app_name, dataset, technique_name)
-        if app_name in ROOT_APPS and traversals is not None:
-            base_run = base.unit_cycles * traversals
-            run = cell.unit_cycles * traversals
-        else:
-            base_run = base.run_cycles
-            run = cell.run_cycles
-        if include_reorder:
-            run += cell.reorder_cycles
-        return (base_run / run - 1.0) * 100.0
+        return cell_speedup(
+            self.cell(app_name, dataset, "Original"),
+            self.cell(app_name, dataset, technique_name),
+            include_reorder,
+            traversals,
+        )
+
+
+def cell_speedup(
+    base: CellResult,
+    cell: CellResult,
+    include_reorder: bool = False,
+    traversals: int | None = None,
+) -> float:
+    """Speed-up (%) of ``cell`` over ``base``, the same app and dataset.
+
+    ``traversals`` rescales root-dependent apps to that many traversals;
+    ``include_reorder`` charges the reordering cost against ``cell``
+    (the net speed-up of Figs. 10/11).
+    """
+    if cell.app in ROOT_APPS and traversals is not None:
+        base_run = base.unit_cycles * traversals
+        run = cell.unit_cycles * traversals
+    else:
+        base_run = base.run_cycles
+        run = cell.run_cycles
+    if include_reorder:
+        return net_speedup_pct(base_run, run, cell.reorder_cycles)
+    return speedup_pct(base_run, run)
+
+
+class SpeedupTable(NamedTuple):
+    """Speed-ups of some columns over ``Original``, one row per cell pair.
+
+    ``rows`` are ``[app, dataset, *speedups rounded to 0.1]`` in grid
+    order (apps outermost); ``speedups[i]`` holds column ``i``'s
+    unrounded speed-ups in the same row order, which every GMean is
+    taken over.
+    """
+
+    rows: list[list]
+    speedups: list[list[float]]
+
+    def gmeans(self) -> list[float]:
+        """Per-column geometric means over all rows, rounded to 0.1."""
+        return [round(geomean_speedup(column), 1) for column in self.speedups]
+
+
+def speedup_table(
+    runner: ExperimentRunner,
+    apps: Sequence[str],
+    datasets: Sequence[str],
+    columns: Sequence[str],
+    include_reorder: bool = False,
+) -> SpeedupTable:
+    """Speed-up of each column technique over ``Original`` per (app, dataset).
+
+    One :meth:`ExperimentRunner.run_grid` call produces every cell, so
+    the table shares the grid's store-backed replay.
+    """
+    width = len(columns) + 1
+    results = runner.run_grid(list(apps), list(datasets), ["Original", *columns])
+    rows = []
+    speedups: list[list[float]] = [[] for _ in columns]
+    for start in range(0, len(results), width):
+        base, *cells = results[start:start + width]
+        row = [base.app, base.dataset]
+        for column, cell in zip(speedups, cells):
+            speedup = cell_speedup(base, cell, include_reorder)
+            column.append(speedup)
+            row.append(round(speedup, 1))
+        rows.append(row)
+    return SpeedupTable(rows, speedups)
 
 
 def geomean_speedup(speedups_pct: list[float]) -> float:

@@ -8,7 +8,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.experiments import ExperimentRunner, geomean_speedup
+from repro.analysis.experiments import (
+    ExperimentRunner,
+    SpeedupTable,
+    cell_speedup,
+    geomean_speedup,
+    speedup_table,
+)
 from repro.apps.registry import APP_ORDER
 from repro.graph.generators import (
     NO_SKEW_DATASETS,
@@ -33,6 +39,14 @@ __all__ = [
 MAIN_TECHNIQUES = ["Sort", "HubSort", "HubCluster", "DBG", "Gorder"]
 
 
+def _gmeans(table: SpeedupTable, picked: list[int]) -> list[float]:
+    """Per-column GMeans over the table rows at indices ``picked``."""
+    return [
+        round(geomean_speedup([column[i] for i in picked]), 1)
+        for column in table.speedups
+    ]
+
+
 def fig3(runner: ExperimentRunner | None = None) -> dict:
     """Fig. 3: slowdown after random reordering (Radii application).
 
@@ -42,12 +56,8 @@ def fig3(runner: ExperimentRunner | None = None) -> dict:
     """
     runner = runner or ExperimentRunner()
     configs = ["RandomVertex", "RCB-1", "RCB-2", "RCB-4"]
-    rows = []
-    for dataset in SKEWED_DATASETS:
-        row = [dataset]
-        for tech in configs:
-            row.append(round(-runner.speedup("Radii", dataset, tech), 1))
-        rows.append(row)
+    table = speedup_table(runner, ["Radii"], SKEWED_DATASETS, configs)
+    rows = [[dataset] + [-s for s in speedups] for _, dataset, *speedups in table.rows]
     return {
         "title": "Fig. 3: Radii slowdown (%) after random reordering",
         "headers": ["dataset", "RV", "RCB-1", "RCB-2", "RCB-4"],
@@ -94,35 +104,15 @@ def fig6(runner: ExperimentRunner | None = None) -> dict:
     split into unstructured (a) and structured (b), with geometric means.
     """
     runner = runner or ExperimentRunner()
-    rows = []
-    gmeans: dict[str, dict[str, list[float]]] = {
-        t: {"unstructured": [], "structured": []} for t in MAIN_TECHNIQUES
-    }
-    for app in APP_ORDER:
-        for dataset in SKEWED_DATASETS:
-            kind = "structured" if dataset in STRUCTURED_DATASETS else "unstructured"
-            row = [app, dataset]
-            for tech in MAIN_TECHNIQUES:
-                s = runner.speedup(app, dataset, tech)
-                gmeans[tech][kind].append(s)
-                row.append(round(s, 1))
-            rows.append(row)
-    for kind in ("unstructured", "structured"):
-        rows.append(
-            [f"GMean", kind]
-            + [round(geomean_speedup(gmeans[t][kind]), 1) for t in MAIN_TECHNIQUES]
-        )
+    table = speedup_table(runner, APP_ORDER, SKEWED_DATASETS, MAIN_TECHNIQUES)
+    kinds: dict[str, list[int]] = {"unstructured": [], "structured": []}
+    for i, row in enumerate(table.rows):
+        kinds["structured" if row[1] in STRUCTURED_DATASETS else "unstructured"].append(i)
+    rows = table.rows + [
+        ["GMean", kind, *_gmeans(table, picked)] for kind, picked in kinds.items()
+    ]
     rows.append(
-        ["GMean", "all"]
-        + [
-            round(
-                geomean_speedup(
-                    gmeans[t]["unstructured"] + gmeans[t]["structured"]
-                ),
-                1,
-            )
-            for t in MAIN_TECHNIQUES
-        ]
+        ["GMean", "all", *_gmeans(table, kinds["unstructured"] + kinds["structured"])]
     )
     return {
         "title": "Fig. 6: speed-up (%) excluding reordering time",
@@ -138,20 +128,12 @@ def fig6(runner: ExperimentRunner | None = None) -> dict:
 def fig7(runner: ExperimentRunner | None = None) -> dict:
     """Fig. 7: effect of reordering on the no-skew datasets (uni, road)."""
     runner = runner or ExperimentRunner()
+    table = speedup_table(runner, APP_ORDER, NO_SKEW_DATASETS, MAIN_TECHNIQUES)
     rows = []
     for dataset in NO_SKEW_DATASETS:
-        per_tech = {t: [] for t in MAIN_TECHNIQUES}
-        for app in APP_ORDER:
-            row = [dataset, app]
-            for tech in MAIN_TECHNIQUES:
-                s = runner.speedup(app, dataset, tech)
-                per_tech[tech].append(s)
-                row.append(round(s, 1))
-            rows.append(row)
-        rows.append(
-            [dataset, "GMean"]
-            + [round(geomean_speedup(per_tech[t]), 1) for t in MAIN_TECHNIQUES]
-        )
+        picked = [i for i, row in enumerate(table.rows) if row[1] == dataset]
+        rows += [[dataset, table.rows[i][0], *table.rows[i][2:]] for i in picked]
+        rows.append([dataset, "GMean", *_gmeans(table, picked)])
     return {
         "title": "Fig. 7: speed-up (%) on no-skew datasets",
         "headers": ["dataset", "app"] + MAIN_TECHNIQUES,
@@ -219,21 +201,17 @@ def fig9(runner: ExperimentRunner | None = None) -> dict:
 def fig10(runner: ExperimentRunner | None = None) -> dict:
     """Fig. 10: net speed-up including reordering time (largest datasets)."""
     runner = runner or ExperimentRunner()
-    datasets = ["tw", "sd", "fr", "mp"]
-    rows = []
-    per_tech: dict[str, list[float]] = {t: [] for t in MAIN_TECHNIQUES}
-    for app in APP_ORDER:
-        for dataset in datasets:
-            row = [app, dataset]
-            for tech in MAIN_TECHNIQUES:
-                s = runner.speedup(app, dataset, tech, include_reorder=True)
-                per_tech[tech].append(s)
-                row.append(round(s, 1))
-            rows.append(row)
-    rows.append(
-        ["GMean", "all"]
-        + [round(geomean_speedup(np.maximum(per_tech[t], -99.0).tolist()), 1) for t in MAIN_TECHNIQUES]
+    table = speedup_table(
+        runner, APP_ORDER, ["tw", "sd", "fr", "mp"], MAIN_TECHNIQUES,
+        include_reorder=True,
     )
+    rows = table.rows + [
+        ["GMean", "all"]
+        + [
+            round(geomean_speedup(np.maximum(column, -99.0).tolist()), 1)
+            for column in table.speedups
+        ]
+    ]
     return {
         "title": "Fig. 10: net speed-up (%) including reordering time",
         "headers": ["app", "dataset"] + MAIN_TECHNIQUES,
@@ -256,11 +234,12 @@ def fig11(runner: ExperimentRunner | None = None) -> dict:
         for dataset in datasets:
             row = [count, dataset]
             for tech in MAIN_TECHNIQUES:
-                base = runner.cell("SSSP", dataset, "Original")
-                cell = runner.cell("SSSP", dataset, tech)
-                total_base = base.unit_cycles * count
-                total = cell.unit_cycles * count + cell.reorder_cycles
-                s = (total_base / total - 1.0) * 100.0
+                s = cell_speedup(
+                    runner.cell("SSSP", dataset, "Original"),
+                    runner.cell("SSSP", dataset, tech),
+                    include_reorder=True,
+                    traversals=count,
+                )
                 per_tech[tech].append(s)
                 row.append(round(s, 1))
             rows.append(row)
@@ -282,28 +261,12 @@ def fig11(runner: ExperimentRunner | None = None) -> dict:
 def gorder_dbg_composition(runner: ExperimentRunner | None = None) -> dict:
     """Section VII: applying DBG on top of Gorder retains most of its gain."""
     runner = runner or ExperimentRunner()
-    rows = []
-    all_g, all_gd, all_d = [], [], []
-    for app in APP_ORDER:
-        for dataset in SKEWED_DATASETS:
-            g = runner.speedup(app, dataset, "Gorder")
-            gd = runner.speedup(app, dataset, "Gorder+DBG")
-            d = runner.speedup(app, dataset, "DBG")
-            all_g.append(g)
-            all_gd.append(gd)
-            all_d.append(d)
-            rows.append([app, dataset, round(g, 1), round(gd, 1), round(d, 1)])
-    rows.append(
-        [
-            "GMean", "all",
-            round(geomean_speedup(all_g), 1),
-            round(geomean_speedup(all_gd), 1),
-            round(geomean_speedup(all_d), 1),
-        ]
+    table = speedup_table(
+        runner, APP_ORDER, SKEWED_DATASETS, ["Gorder", "Gorder+DBG", "DBG"]
     )
     return {
         "title": "Sec. VII: Gorder+DBG composition, speed-up (%) excl. reordering",
         "headers": ["app", "dataset", "Gorder", "Gorder+DBG", "DBG"],
-        "rows": rows,
+        "rows": table.rows + [["GMean", "all", *table.gmeans()]],
         "notes": "Paper: Gorder+DBG 17.2% vs Gorder 18.6% average across 40 datapoints.",
     }

@@ -1,4 +1,4 @@
-"""Warm-rerun guarantees for the legacy ablation sweeps.
+"""Warm-rerun guarantees for the ablation sweeps and speed-up figures.
 
 These sweeps once built private ``ExperimentRunner``s per call, so every
 invocation recomputed everything from scratch.  They now route through
@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro import observability
-from repro.analysis import ablations
+from repro.analysis import ablations, figures
 from repro.analysis.experiments import ExperimentConfig, ExperimentRunner
 from repro.pipeline import ArtifactStore
 from repro.tools.status_tool import main as status_main
@@ -46,6 +46,13 @@ def make_runner(tmp_path):
             "replacement_policy_sweep",
             lambda runner: ablations.replacement_policy_sweep(
                 runner, policies=("lru", "lip"), datasets=("sd",)
+            ),
+        ),
+        ("fig3", figures.fig3),
+        (
+            "extension_apps",
+            lambda runner: ablations.extension_apps(
+                runner, apps=("CC",), techniques=("DBG",)
             ),
         ),
     ],
