@@ -57,7 +57,7 @@ def fig3(runner: ExperimentRunner | None = None) -> dict:
     runner = runner or ExperimentRunner()
     configs = ["RandomVertex", "RCB-1", "RCB-2", "RCB-4"]
     table = speedup_table(runner, ["Radii"], SKEWED_DATASETS, configs)
-    rows = [[dataset] + [-s for s in speedups] for _, dataset, *speedups in table.rows]
+    rows = [[d] + [-s for s in speedups] for _, d, *speedups in table.rows]
     return {
         "title": "Fig. 3: Radii slowdown (%) after random reordering",
         "headers": ["dataset", "RV", "RCB-1", "RCB-2", "RCB-4"],
@@ -106,8 +106,9 @@ def fig6(runner: ExperimentRunner | None = None) -> dict:
     runner = runner or ExperimentRunner()
     table = speedup_table(runner, APP_ORDER, SKEWED_DATASETS, MAIN_TECHNIQUES)
     kinds: dict[str, list[int]] = {"unstructured": [], "structured": []}
-    for i, row in enumerate(table.rows):
-        kinds["structured" if row[1] in STRUCTURED_DATASETS else "unstructured"].append(i)
+    for i, (_, dataset, *_) in enumerate(table.rows):
+        kind = "structured" if dataset in STRUCTURED_DATASETS else "unstructured"
+        kinds[kind].append(i)
     rows = table.rows + [
         ["GMean", kind, *_gmeans(table, picked)] for kind, picked in kinds.items()
     ]
