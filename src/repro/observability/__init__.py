@@ -1,11 +1,16 @@
 """Run-level observability for the experiment pipeline.
 
-Three cooperating pieces, all process-global the way the stage profiler
-already is:
+Three cooperating pieces, each with one process-global instance:
 
 * :mod:`repro.observability.tracing` — :class:`Tracer`/:class:`Span`:
   nested spans with wall/CPU durations and tags, plus zero-duration
-  point events, buffered per process and merged across grid workers;
+  point events, buffered per process and merged across grid workers.
+  :func:`fold_stage_event` is the one fold from ``kind="stage"`` spans
+  and ``kind="cache_hit"`` events to per-stage
+  ``{calls, seconds, cpu_seconds, cache_hits}``; the tracer keeps a
+  live total with it (the stage profiler's only clock), the run
+  manifest and :func:`stage_totals` rebuild the same totals from the
+  event log;
 * :mod:`repro.observability.metrics` — :class:`MetricsRegistry`:
   counters / gauges / histograms with the snapshot / diff / merge
   lifecycle, absorbing the store and engine counters behind one API;
@@ -30,6 +35,7 @@ from repro.observability.run import (
     RunContext,
     current_run,
     default_runs_dir,
+    format_stage_table,
     iter_events,
     list_runs,
     load_manifest,
@@ -39,7 +45,7 @@ from repro.observability.run import (
     stage_totals,
     start_run,
 )
-from repro.observability.tracing import TRACER, Span, Tracer
+from repro.observability.tracing import TRACER, Span, Tracer, fold_stage_event
 
 __all__ = [
     "MANIFEST_SCHEMA",
@@ -55,6 +61,8 @@ __all__ = [
     "current_run",
     "default_runs_dir",
     "diff_metrics",
+    "fold_stage_event",
+    "format_stage_table",
     "iter_events",
     "list_runs",
     "load_manifest",

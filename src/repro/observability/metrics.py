@@ -1,13 +1,14 @@
 """Lightweight metrics registry: counters, gauges, histograms.
 
-The pipeline already counts things in three unrelated shapes — the
-artifact store's per-kind :class:`~repro.pipeline.store.KindStats`, the
-engine throughput counters in :mod:`repro.cachesim.stats`, and the
-stage profiler's :class:`~repro.pipeline.profiler.StageStats`.  The
-registry is the one surface that can absorb all of them: flat
+The pipeline already counts things in two unrelated shapes — the
+artifact store's per-kind :class:`~repro.pipeline.store.KindStats` and
+the engine throughput counters in :mod:`repro.cachesim.stats` and
+``repro.framework.fasttrace``.  The registry absorbs both
+(:func:`absorb_store_stats`, :func:`absorb_engine_counters`): flat
 dot-separated metric names, three instrument types, and the same
-snapshot / diff / merge lifecycle the store and profiler already use
-for shipping worker deltas to the grid parent.
+snapshot / diff / merge lifecycle the store stats use for shipping
+worker deltas to the grid parent.  Stage timings are not absorbed; they
+come from the span stream (:func:`repro.observability.fold_stage_event`).
 
 Instruments
 -----------
@@ -224,5 +225,5 @@ def absorb_engine_counters(registry: MetricsRegistry) -> None:
             registry.inc(f"engine.{domain}.{engine}.seconds", s.seconds)
 
 
-#: Process-global registry (mirrors the global tracer and profiler).
+#: Process-global registry (mirrors the global tracer).
 METRICS = MetricsRegistry()

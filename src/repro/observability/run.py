@@ -30,12 +30,13 @@ import time
 from pathlib import Path
 
 from repro.observability.metrics import METRICS, absorb_engine_counters
-from repro.observability.tracing import TRACER
+from repro.observability.tracing import TRACER, fold_stage_event
 
 __all__ = [
     "MANIFEST_SCHEMA",
     "RECOMPUTE_STAGES",
     "RunContext",
+    "format_stage_table",
     "start_run",
     "current_run",
     "default_runs_dir",
@@ -149,11 +150,15 @@ class RunContext:
 
     # -- event sink ----------------------------------------------------------
     def write_event(self, event: dict) -> None:
-        """Append one event to ``events.jsonl`` (and fold stage totals)."""
+        """Append one event to ``events.jsonl`` (and fold stage totals).
+
+        The manifest's timings block is folded from exactly the events
+        written to the log, so the two cannot disagree.
+        """
         with self._lock:
             if self._closed:
                 return
-            self._ingest(event)
+            fold_stage_event(self._stage_totals, event)
             self._events_file.write(json.dumps(event, default=_json_default) + "\n")
 
     def write_events(self, events: list[dict]) -> None:
@@ -163,35 +168,11 @@ class RunContext:
                 return
             lines = []
             for event in events:
-                self._ingest(event)
+                fold_stage_event(self._stage_totals, event)
                 lines.append(json.dumps(event, default=_json_default))
             if lines:
                 self._events_file.write("\n".join(lines) + "\n")
             self._events_file.flush()
-
-    def _ingest(self, event: dict) -> None:
-        """Aggregate one event into the manifest's per-stage timings.
-
-        The manifest's machine-readable timings block is *derived from
-        the event stream*, not from a parallel accumulator — the span
-        log and the manifest cannot disagree.
-        """
-        tags = event.get("tags") or {}
-        kind = tags.get("kind")
-        if kind == "stage" and event.get("type") == "span":
-            totals = self._stage_totals.setdefault(
-                event["name"],
-                {"calls": 0, "seconds": 0.0, "cpu_seconds": 0.0, "cache_hits": 0},
-            )
-            totals["calls"] += 1
-            totals["seconds"] += event.get("wall_s", 0.0)
-            totals["cpu_seconds"] += event.get("cpu_s", 0.0)
-        elif kind == "cache_hit":
-            totals = self._stage_totals.setdefault(
-                event["name"],
-                {"calls": 0, "seconds": 0.0, "cpu_seconds": 0.0, "cache_hits": 0},
-            )
-            totals["cache_hits"] += 1
 
     # -- provenance accumulation ---------------------------------------------
     def set_config(self, config) -> None:
@@ -282,13 +263,14 @@ class RunContext:
             kernel_report = _kernel_report()
         except Exception as exc:  # pragma: no cover - defensive
             kernel_report = {"error": repr(exc)}
+        finished = time.time()
         return {
             "manifest_schema": MANIFEST_SCHEMA,
             "run_id": self.run_id,
             "status": status,
             "created": self._started,
-            "finished": time.time(),
-            "wall_s": time.time() - self._started,
+            "finished": finished,
+            "wall_s": finished - self._started,
             "git_sha": _git_sha(),
             "config": config,
             "engines": engine_report,
@@ -418,6 +400,31 @@ def recompute_spans(stages: dict[str, dict]) -> int:
     )
 
 
+def format_stage_table(stages: dict[str, dict], indent: str = "") -> str:
+    """Human-readable per-stage breakdown of a ``timings.stages`` mapping.
+
+    Recompute stages first in pipeline order, then the rest by name;
+    each line shows seconds, share of the staged total and call counts.
+    """
+    if not stages:
+        return f"{indent}(no stage spans recorded)"
+    total = sum(entry.get("seconds", 0.0) for entry in stages.values())
+    order = [s for s in RECOMPUTE_STAGES if s in stages]
+    order += sorted(s for s in stages if s not in RECOMPUTE_STAGES)
+    lines = []
+    for name in order:
+        entry = stages[name]
+        seconds = entry.get("seconds", 0.0)
+        share = 100.0 * seconds / total if total > 0 else 0.0
+        hits = entry.get("cache_hits", 0)
+        hit = f", {hits} cached" if hits else ""
+        lines.append(
+            f"{indent}{name:>9}: {seconds:8.3f}s  {share:5.1f}%  "
+            f"({entry.get('calls', 0)} calls{hit})"
+        )
+    return "\n".join(lines)
+
+
 def manifest_recompute_spans(run_dir: Path | str) -> int:
     """Recompute-span count for a run directory (manifest or event stream)."""
     manifest = load_manifest(run_dir)
@@ -433,23 +440,9 @@ def stage_totals(run_dir: Path | str) -> dict[str, dict]:
 
     The reconciliation primitive: the manifest's ``timings`` block and
     this function must agree (both fold the same events), and tests
-    compare either against the live stage profiler.
+    compare either against the tracer's live totals.
     """
     totals: dict[str, dict] = {}
     for event in iter_events(run_dir):
-        tags = event.get("tags") or {}
-        if tags.get("kind") == "stage" and event.get("type") == "span":
-            entry = totals.setdefault(
-                event["name"],
-                {"calls": 0, "seconds": 0.0, "cpu_seconds": 0.0, "cache_hits": 0},
-            )
-            entry["calls"] += 1
-            entry["seconds"] += event.get("wall_s", 0.0)
-            entry["cpu_seconds"] += event.get("cpu_s", 0.0)
-        elif tags.get("kind") == "cache_hit":
-            entry = totals.setdefault(
-                event["name"],
-                {"calls": 0, "seconds": 0.0, "cpu_seconds": 0.0, "cache_hits": 0},
-            )
-            entry["cache_hits"] += 1
+        fold_stage_event(totals, event)
     return totals

@@ -35,11 +35,35 @@ import os
 import threading
 import time
 
-__all__ = ["Span", "Tracer", "TRACER"]
+__all__ = ["Span", "Tracer", "TRACER", "fold_stage_event"]
 
 #: Buffer cap per process; beyond it the oldest events are dropped (and
 #: counted) rather than growing without bound in long sessions.
 MAX_BUFFERED_EVENTS = 200_000
+
+
+def fold_stage_event(totals: dict[str, dict], event: dict) -> None:
+    """Fold one event into per-stage ``{calls, seconds, cpu_seconds, cache_hits}``.
+
+    A ``kind="stage"`` span counts one call and its wall/CPU time; a
+    ``kind="cache_hit"`` event counts one cache hit; anything else is
+    ignored.  The tracer's live totals, the run manifest and
+    :func:`repro.observability.stage_totals` all fold through here.
+    """
+    kind = (event.get("tags") or {}).get("kind")
+    is_span = kind == "stage" and event.get("type") == "span"
+    if not is_span and kind != "cache_hit":
+        return
+    entry = totals.setdefault(
+        event["name"],
+        {"calls": 0, "seconds": 0.0, "cpu_seconds": 0.0, "cache_hits": 0},
+    )
+    if is_span:
+        entry["calls"] += 1
+        entry["seconds"] += event.get("wall_s", 0.0)
+        entry["cpu_seconds"] += event.get("cpu_s", 0.0)
+    else:
+        entry["cache_hits"] += 1
 
 
 class Span:
@@ -138,6 +162,7 @@ class Tracer:
         self._lock = threading.Lock()
         self._events: list[dict] = []
         self._dropped = 0
+        self._stage_totals: dict[str, dict] = {}
         self._local = threading.local()
         self._ids = itertools.count(1)
         self._subscribers: list = []
@@ -162,6 +187,7 @@ class Tracer:
         self._mono_anchor = time.monotonic()
         self._events = []
         self._dropped = 0
+        self._stage_totals = {}
         self._subscribers = []
 
     # -- span stack ----------------------------------------------------------
@@ -248,14 +274,24 @@ class Tracer:
 
     def _emit(self, event: dict) -> None:
         with self._lock:
-            self._events.append(event)
-            if len(self._events) > MAX_BUFFERED_EVENTS:
-                overflow = len(self._events) - MAX_BUFFERED_EVENTS
-                del self._events[:overflow]
-                self._dropped += overflow
+            self._buffer([event])
             subscribers = list(self._subscribers)
         for fn in subscribers:
             fn(event)
+
+    def _buffer(self, events: list[dict]) -> None:
+        """Fold ``events`` into the stage totals, then buffer them (locked).
+
+        The fold comes first and sees every event, so the stage totals
+        stay exact however many events the bounded buffer drops.
+        """
+        for event in events:
+            fold_stage_event(self._stage_totals, event)
+        self._events.extend(events)
+        if len(self._events) > MAX_BUFFERED_EVENTS:
+            overflow = len(self._events) - MAX_BUFFERED_EVENTS
+            del self._events[:overflow]
+            self._dropped += overflow
 
     # -- consumption ---------------------------------------------------------
     def subscribe(self, fn) -> None:
@@ -281,13 +317,18 @@ class Tracer:
             return events
 
     def merge(self, events: list[dict]) -> None:
-        """Fold events drained from another process into this buffer."""
+        """Fold events drained from another process into this tracer."""
         with self._lock:
-            self._events.extend(events)
-            if len(self._events) > MAX_BUFFERED_EVENTS:
-                overflow = len(self._events) - MAX_BUFFERED_EVENTS
-                del self._events[:overflow]
-                self._dropped += overflow
+            self._buffer(events)
+
+    def stage_totals(self) -> dict[str, dict]:
+        """Per-stage totals of every stage event seen since the last reset."""
+        with self._lock:
+            return {name: dict(entry) for name, entry in self._stage_totals.items()}
+
+    def reset_stage_totals(self) -> None:
+        with self._lock:
+            self._stage_totals.clear()
 
     @property
     def dropped(self) -> int:
@@ -296,9 +337,11 @@ class Tracer:
             return self._dropped
 
     def reset(self) -> None:
+        """Clear the buffer, the drop count and the stage totals."""
         with self._lock:
             self._events.clear()
             self._dropped = 0
+            self._stage_totals.clear()
 
 
 #: Process-global tracer every subsystem records into.  Grid workers are

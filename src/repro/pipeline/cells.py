@@ -18,10 +18,12 @@ reordering technique).  Producing a cell walks the declared stage DAG
 :class:`~repro.pipeline.store.ArtifactStore`: the persisted stages
 (mapping / trace / cell) are content-addressed through the key builders
 in :mod:`repro.pipeline.stages`, and every stage execution or store hit
-is accounted to the process-global stage profiler — the profiler and the
-shared-memory graph transport attach through the two hook points
-(:meth:`CellPipeline._persisted` and :meth:`CellPipeline.seed_graphs`)
-instead of being threaded through call sites.
+is recorded as a stage span or cache-hit event on the process-global
+tracer, whose one fold yields the per-stage timing breakdown.  Stage
+timing and the shared-memory graph transport attach through the two
+hook points (:meth:`CellPipeline._persisted` and
+:meth:`CellPipeline.seed_graphs`) instead of being threaded through call
+sites.
 
 Memory-resident stages (generate / relabel, plus application plans) are
 memoized per process only: graphs are large and regenerate quickly, and
@@ -192,7 +194,7 @@ class CellPipeline:
         """Run a persisted stage: store hit, else profile + compute + put.
 
         The one code path every store-backed stage funnels through, so
-        the profiler/tracer hook (stage spans; hits counted as cheap
+        the tracer hook (stage spans; hits counted as cheap
         calls of the stage they short-circuit) and the store's
         hit/miss/byte accounting cover the whole pipeline uniformly.
         ``tags`` annotate the emitted span/event with cell identity.

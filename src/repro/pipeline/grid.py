@@ -22,13 +22,13 @@ granularity instead of handing whole cells to the pool:
    cell-granular fan-out recomputed a shared mapping/trace in every
    worker that happened to need it before a sibling published it.
 
-Workers return their stage-profiler, store-statistics and tracer-event
-deltas with each job; the parent folds all three into its own
-accumulators, so a grid reports one coherent timing breakdown, one
-"was anything recomputed?" answer and one merged span stream regardless
-of how stages were distributed.  Results come back in cross-product
-order (apps outermost, techniques innermost), identical to the serial
-loop.
+Workers return their store-statistics delta and drained tracer events
+with each job; the parent folds both into its own accumulators, and the
+parent tracer folds the events into its live stage totals, so a grid
+reports one coherent timing breakdown, one "was anything recomputed?"
+answer and one merged span stream regardless of how stages were
+distributed.  Results come back in cross-product order (apps outermost,
+techniques innermost), identical to the serial loop.
 
 When a run is being observed (:func:`repro.observability.current_run`),
 the grid records its shape, config hash and store into the run, streams
@@ -49,7 +49,6 @@ from concurrent.futures import Future, ProcessPoolExecutor
 from repro import observability
 from repro.observability import TRACER
 from repro.pipeline import sharedgraph, stages
-from repro.pipeline.profiler import PROFILER, diff_snapshots
 from repro.pipeline.cells import ROOT_APPS, CellPipeline, CellResult, ExperimentConfig
 from repro.pipeline.stages import PIPELINE
 from repro.pipeline.store import ArtifactStore, diff_store_snapshots
@@ -120,7 +119,7 @@ def _export_grid_graphs(
     """Build + export the graphs the store-missing cells will need.
 
     Each needed (dataset, weighted) graph is built once, here in the
-    parent, under the usual ``generate`` profiler stage.  Shared memory
+    parent, under the usual ``generate`` stage span.  Shared memory
     is tried first, then the disk/mmap spill transport; returns
     ``([], None)`` when nothing needs sharing or both transports are
     unavailable (workers regenerate).
@@ -288,9 +287,9 @@ class StageExecutor:
     on the phase's futures, move on — while the serving layer
     (:mod:`repro.serve`) keeps one executor alive across requests and
     feeds it jobs one at a time as clients arrive.  Either way, every job
-    ships its (profiler, store-stats, tracer-events) deltas back with the
-    result and the executor folds them into the owning pipeline under a
-    lock, so accounting stays exactly as coherent as the historical
+    ships its (store-stats, tracer-events) deltas back with the result
+    and the executor folds them into the owning pipeline under a lock,
+    so accounting stays exactly as coherent as the historical
     phase-mapped pools.
 
     ``pipeline_cls`` lets a caller run a :class:`CellPipeline` subclass
@@ -325,8 +324,8 @@ class StageExecutor:
         ``(payload, deltas)``) and return a future for the payload.
 
         Delta folding happens in the pool's completion callback under the
-        executor's lock — safe because every merge target (profiler,
-        store stats, tracer, run log) is itself lock-guarded.
+        executor's lock — safe because every merge target (store stats,
+        tracer, run log) is itself lock-guarded.
         """
         inner = self._pool.submit(fn, job)
         outer = _StageFuture(inner)
@@ -376,21 +375,20 @@ class StageExecutor:
 
 
 def _merge_deltas(pipeline: CellPipeline, deltas: tuple) -> None:
-    """Fold one worker job's (profiler, store-stats, events) deltas in.
+    """Fold one worker job's (store-stats, events) deltas in.
 
     Keeps the grid's stage-timing breakdown, hit/miss accounting and
     span stream coherent regardless of how jobs were distributed across
-    processes.  Worker events land in the active run's ``events.jsonl``
-    when one is being observed, else in the parent tracer's buffer.
+    processes.  Worker events always pass through the parent tracer,
+    which folds them into its live stage totals; when a run is being
+    observed they are also appended to its ``events.jsonl``.
     """
-    profile_delta, store_delta, events = deltas
-    PROFILER.merge(profile_delta)
+    store_delta, events = deltas
     pipeline.store.stats.merge(store_delta)
+    TRACER.merge(events)
     run = observability.current_run()
     if run is not None:
         run.write_events(events)
-    else:
-        TRACER.merge(events)
 
 
 #: Per-process pipeline reused across the jobs a grid worker receives, so
@@ -425,41 +423,40 @@ def worker_pipeline() -> CellPipeline:
     return _WORKER
 
 
-def job_deltas(before_profile, before_store) -> tuple:
-    """(profiler, store-stats, events) accumulated since the snapshots."""
+def job_deltas(before_store) -> tuple:
+    """(store-stats, events) accumulated since the job-start snapshot."""
     assert _WORKER is not None
     return (
-        diff_snapshots(PROFILER.snapshot(), before_profile),
         diff_store_snapshots(_WORKER.store.stats.snapshot(), before_store),
         # Everything traced since the previous job (or worker start);
-        # the parent folds it into the run's merged event stream.
+        # the parent folds it into its tracer and the run's event stream.
         TRACER.drain(),
     )
 
 
-def job_snapshots() -> tuple:
-    """Profiler + store-stats snapshots taken at job start."""
+def job_snapshot() -> dict:
+    """Store-stats snapshot taken at job start."""
     assert _WORKER is not None, "worker used without initializer"
-    return (PROFILER.snapshot(), _WORKER.store.stats.snapshot())
+    return _WORKER.store.stats.snapshot()
 
 
 def _worker_mapping(job: tuple) -> tuple:
-    before = job_snapshots()
+    before = job_snapshot()
     _WORKER.compute_mapping_stage(*job)
-    return None, job_deltas(*before)
+    return None, job_deltas(before)
 
 
 def _worker_trace(job: tuple) -> tuple:
-    before = job_snapshots()
+    before = job_snapshot()
     _WORKER.compute_trace_stage(*job)
-    return None, job_deltas(*before)
+    return None, job_deltas(before)
 
 
 def _worker_cell(spec: tuple) -> tuple:
     """One cell job: 3-tuple cell spec, optionally + a policy override."""
-    before = job_snapshots()
+    before = job_snapshot()
     if len(spec) == 4:
         result = _WORKER.policy_view(spec[3]).cell(*spec[:3])
     else:
         result = _WORKER.cell(*spec)
-    return result, job_deltas(*before)
+    return result, job_deltas(before)

@@ -149,8 +149,8 @@ class StoreStats:
     """Lock-guarded per-kind :class:`KindStats` accumulators.
 
     Counters are process-local; the grid scheduler snapshots them around
-    each worker job and merges the deltas into the parent's store, the
-    same way the stage profiler aggregates timings.
+    each worker job and merges the deltas into the parent's store, next
+    to the drained tracer events that carry the stage timings.
     """
 
     def __init__(self) -> None:

@@ -17,8 +17,8 @@ Workers keep one :class:`~repro.serve.pipeline.ServePipeline` per
 request amortize over every later request with the same shape — the
 serving analog of the grid worker reusing its pipeline across jobs.
 Every pipeline view shares the root store's statistics object, so the
-deltas shipped back to the parent stay coherent regardless of which
-tenant namespace a job touched.
+(store-stats, events) deltas shipped back to the parent stay coherent
+regardless of which tenant namespace a job touched.
 """
 
 from __future__ import annotations
@@ -37,9 +37,9 @@ def warm_worker(_job: dict | None = None) -> tuple:
     parent holds no connection fds — a forked child inheriting a live
     client socket would keep it open and mask that client's disconnect.
     """
-    before = grid.job_snapshots()
+    before = grid.job_snapshot()
     grid.worker_pipeline()
-    return None, grid.job_deltas(*before)
+    return None, grid.job_deltas(before)
 
 #: Per-process cache of namespace/config pipeline views (worker-side).
 _PIPELINES: dict[tuple, ServePipeline] = {}
@@ -64,10 +64,10 @@ def run_job(job: dict) -> tuple:
     """Execute one serving job; returns ``(payload, deltas)``.
 
     The payload is the JSON-ready response body fragment; the deltas are
-    the standard (profiler, store-stats, events) triple the pool parent
-    folds into its accumulators.
+    the standard (store-stats, events) pair the pool parent folds into
+    its accumulators.
     """
-    before = grid.job_snapshots()
+    before = grid.job_snapshot()
     pipe = _pipeline_for(job.get("namespace"), job.get("config"))
     if job["op"] == "mapping":
         mapping = pipe.mapping(
@@ -81,4 +81,4 @@ def run_job(job: dict) -> tuple:
         }
     else:
         raise ValueError(f"unknown serve job op {job['op']!r}")
-    return payload, grid.job_deltas(*before)
+    return payload, grid.job_deltas(before)

@@ -5,7 +5,8 @@ on a real 3x3 grid with four worker processes:
 
 * the merged ``events.jsonl`` reconciles with the live stage profiler —
   identical call counts and per-stage wall time within 1% (the profiler
-  *consumes* the span stream, so drift means double measurement);
+  reads the tracer's live fold of the same spans, so drift means an
+  event was lost or counted twice);
 * a warm replay of the same grid against the same store produces zero
   recompute-stage spans, and ``repro-status diff`` says so.
 """
@@ -18,7 +19,8 @@ from repro import observability
 from repro.analysis.experiments import ExperimentConfig, ExperimentRunner
 from repro.pipeline import ArtifactStore
 from repro.pipeline.profiler import PROFILER
-from repro.tools.status_tool import RECOMPUTE_STAGES, main as status_main
+from repro.observability import RECOMPUTE_STAGES
+from repro.tools.status_tool import main as status_main
 
 GRID = (["PR"], ["wl", "sd"], ["Original", "DBG", "Sort"])  # 6 cells
 WORKERS = 4

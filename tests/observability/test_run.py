@@ -85,6 +85,12 @@ class TestManifest:
         assert "sim" in manifest["engines"]
         assert manifest["events_file"] == "events.jsonl"
 
+    def test_wall_time_matches_created_and_finished(self, runs):
+        with start_run(runs, run_id="clock"):
+            pass
+        manifest = load_manifest(runs / "clock")
+        assert manifest["finished"] - manifest["created"] == manifest["wall_s"]
+
     def test_same_config_hashes_identically(self, runs):
         hashes = []
         for rid in ("ha", "hb"):

@@ -2,8 +2,9 @@
 
 The experiment grid drives the executor phase-by-phase; the serving
 layer drives it one job at a time.  These tests pin the shared contract:
-results come back on futures, worker deltas (profiler, store stats,
-trace events) merge into the parent pipeline, and per-job submits
+results come back on futures, worker deltas (store stats and trace
+events, which the parent tracer folds into stage totals) merge into the
+parent pipeline, and per-job submits
 against a warm store are hits, not recomputes.
 """
 
